@@ -70,6 +70,16 @@ def _is_shard_dir(name: str) -> bool:
     return True
 
 
+def _listdir(path: str) -> List[str]:
+    """Sorted directory entries; empty when ``path`` is missing — a
+    concurrent :meth:`ResultCache.clear` may remove a shard directory
+    between a caller's existence check and its listing."""
+    try:
+        return sorted(os.listdir(path))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
 @dataclass
 class CacheSession:
     """Hit/miss accounting for one runner session."""
@@ -186,9 +196,16 @@ class ResultCache:
         """Atomically write ``record`` under ``key``."""
         record = dict(record, schema=SCHEMA_VERSION, key=key)
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        try:
+            fh = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            # A concurrent clear() pruned the still-empty shard directory
+            # between makedirs and open: recreate it once.
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fh = open(tmp, "w", encoding="utf-8")
+        with fh:
             json.dump(record, fh, sort_keys=True)
         os.replace(tmp, path)
         self.session.stored += 1
@@ -227,13 +244,11 @@ class ResultCache:
         and are left untouched by :meth:`clear`.
         """
         found = []
-        if not os.path.isdir(self.root):
-            return found
-        for shard in sorted(os.listdir(self.root)):
+        for shard in _listdir(self.root):
             shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir) or not _is_shard_dir(shard):
+            if not _is_shard_dir(shard):
                 continue
-            for name in sorted(os.listdir(shard_dir)):
+            for name in _listdir(shard_dir):
                 if name.endswith(".json") and ".tmp." not in name:
                     found.append(os.path.join(shard_dir, name))
         return found
@@ -242,12 +257,10 @@ class ResultCache:
         """Every ``*.tmp.*`` file under the root (crashed-writer debris
         plus any write that is in flight right now)."""
         found = []
-        if not os.path.isdir(self.root):
-            return found
-        for entry in sorted(os.listdir(self.root)):
+        for entry in _listdir(self.root):
             path = os.path.join(self.root, entry)
             if os.path.isdir(path):
-                for name in sorted(os.listdir(path)):
+                for name in _listdir(path):
                     if ".tmp." in name:
                         found.append(os.path.join(path, name))
             elif ".tmp." in entry:
@@ -261,11 +274,11 @@ class ResultCache:
         total_bytes = 0
         root = os.path.join(self.root, name)
         if os.path.isdir(root):
-            for shard in os.listdir(root):
+            for shard in _listdir(root):
                 shard_dir = os.path.join(root, shard)
                 if not os.path.isdir(shard_dir):
                     continue
-                for entry in os.listdir(shard_dir):
+                for entry in _listdir(shard_dir):
                     if ".tmp." in entry:
                         continue
                     try:
@@ -291,6 +304,8 @@ class ResultCache:
                     stale += 1
                     continue
                 kernel = record.get("kernel", "?")
+            except FileNotFoundError:
+                continue            # removed by a concurrent clear()
             except (json.JSONDecodeError, UnicodeDecodeError, OSError):
                 stale += 1
                 continue
@@ -336,13 +351,13 @@ class ResultCache:
                     os.unlink(path)
             except OSError:
                 pass
-        # Prune now-empty shard directories (best effort).
-        if os.path.isdir(self.root):
-            for shard in os.listdir(self.root):
-                shard_dir = os.path.join(self.root, shard)
-                if os.path.isdir(shard_dir) and not os.listdir(shard_dir):
-                    try:
-                        os.rmdir(shard_dir)
-                    except OSError:
-                        pass
+        # Prune now-empty shard directories (best effort; rmdir refuses a
+        # directory a concurrent writer has just put a file in).
+        for shard in _listdir(self.root):
+            shard_dir = os.path.join(self.root, shard)
+            if os.path.isdir(shard_dir) and not _listdir(shard_dir):
+                try:
+                    os.rmdir(shard_dir)
+                except OSError:
+                    pass
         return removed

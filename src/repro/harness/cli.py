@@ -25,30 +25,14 @@ combination of ``--jobs`` and cache state.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
-import time
-from typing import List, Optional
+from typing import List
 
+from ..errors import ConfigError
 from .cache import ResultCache
-from .experiments import EXPERIMENTS, table_t1
+from .experiments import EXPERIMENTS, evaluate
 from .parallel import ParallelRunner, merge_session_metrics
-
-
-def _run_one(name: str, fast: bool, runner: ParallelRunner,
-             kernels: Optional[List[str]],
-             sample: Optional[int] = None) -> str:
-    func = EXPERIMENTS[name]
-    if func is table_t1:
-        return table_t1().render()
-    kwargs = {"fast": fast, "runner": runner}
-    params = inspect.signature(func).parameters
-    if kernels and "kernels" in params:
-        kwargs["kernels"] = kernels
-    if sample is not None and "sample" in params:
-        kwargs["sample"] = sample
-    return func(**kwargs).render()
 
 
 def _print_session_metrics(root: str) -> None:
@@ -361,14 +345,22 @@ def main(argv: List[str] = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
 
+    # One union plan for every requested experiment: each program is
+    # built and hashed once, each distinct cell resolved once, in one
+    # pooled pass; tables print in request order afterwards.  A marker's
+    # time is that experiment's own plan + render steps; the shared run
+    # is on the [sweep: ...] line.
     try:
-        for name in wanted:
-            start = time.time()
-            print(_run_one(name, fast=not args.full, runner=runner,
-                           kernels=kernels, sample=args.corpus_sample))
-            print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
+        tables = evaluate(wanted, fast=not args.full, runner=runner,
+                          kernels=kernels, sample=args.corpus_sample)
+    except ConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     finally:
         runner.close()
+    for name, table, seconds in tables:
+        print(table.render())
+        print(f"[{name} regenerated in {seconds:.1f}s]\n")
     print(f"[sweep: {runner.summary()}]")
 
     if profiler is not None:
@@ -381,5 +373,19 @@ def main(argv: List[str] = None) -> int:
     return 0
 
 
+def _entry() -> int:
+    """``python -m repro.harness.cli``: :func:`main`, quiet on a closed
+    stdout (``cli cache stats | head``)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

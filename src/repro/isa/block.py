@@ -11,9 +11,9 @@ to the rest of the machine consists of:
 
 Inside the block, instructions communicate only through direct targets.
 ``Block.validate`` enforces the structural EDGE constraints, and
-``Block.slot_producers`` precomputes, for every operand slot and write slot,
-the set of static producers — the key piece of metadata the DSRE protocol's
-multi-producer token buffers are built from.
+``Block.slot_producers`` derives (once, on first use), for every operand
+slot and write slot, the set of static producers — the key piece of
+metadata the DSRE protocol's multi-producer token buffers are built from.
 """
 
 from __future__ import annotations
@@ -182,6 +182,11 @@ class Block:
         self._validate_instructions(err)
         self._validate_wiring(err)
         self._validate_acyclic(err)
+        # The producer map was only needed to check the wiring; its users
+        # (frame templates, the interpreter) rebuild it on first access,
+        # so a program that is built but never run here — a planning
+        # process holds dozens — neither keeps nor pickles it.
+        self._slot_producers = None
         self._validated = True
 
     def _validate_interface(self, err) -> None:

@@ -120,6 +120,9 @@ class MachineConfig:
             raise ConfigError("hybrid_redelivery_limit must be >= 0")
         if self.txwave_epoch_blocks < 1:
             raise ConfigError("txwave_epoch_blocks must be >= 1")
+        if self.storeset_ssit_size < 2:
+            raise ConfigError("storeset_ssit_size must be >= 2 (the SSIT "
+                              "needs at least two entries)")
         if self.dependence_policy not in (
                 "conservative", "aggressive", "storeset", "oracle"):
             raise ConfigError(
@@ -171,6 +174,10 @@ class MachineConfig:
 
     def derive(self, **overrides) -> "MachineConfig":
         """A copy of this config with the given fields replaced."""
+        unknown = set(overrides).difference(self.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(
+                f"unknown config fields: {', '.join(sorted(unknown))}")
         clone = dataclasses.replace(self, **overrides)
         clone.fu_latencies = dict(
             overrides.get("fu_latencies", self.fu_latencies))

@@ -23,6 +23,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             default_config(**{field: value})
 
+    def test_rejects_single_entry_ssit(self):
+        # The store-set predictor needs two SSIT entries; the config
+        # says so itself instead of failing inside the first run.
+        with pytest.raises(ConfigError, match="storeset_ssit_size"):
+            default_config(storeset_ssit_size=1)
+        default_config(storeset_ssit_size=2).validate()
+
     def test_rejects_zero_latency(self):
         latencies = dict(default_config().fu_latencies)
         latencies[OpClass.INT_ALU] = 0
@@ -37,6 +44,10 @@ class TestDerive:
         assert derived.max_frames == 16
         assert derived.recovery == "flush"
         assert base.max_frames == 8           # base unchanged
+
+    def test_derive_rejects_unknown_field(self):
+        with pytest.raises(ConfigError, match="frames"):
+            default_config().derive(frames=4)
 
     def test_derive_copies_latencies(self):
         base = default_config()

@@ -1,5 +1,10 @@
 """Tests for the experiment harness (runners, experiments, CLI)."""
 
+import functools
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness import (EXPERIMENTS, POINT_ORDER, STANDARD_POINTS,
@@ -124,3 +129,34 @@ class TestCli:
                          "--no-cache",
                          "--cache-dir", str(tmp_path / "c")]) == 0
         assert not (tmp_path / "c").exists()
+
+    def test_invalid_config_rejected_at_admission(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # A plan step that asks for an impossible machine (a one-entry
+        # SSIT) is a usage error before any cell runs, not a crash
+        # inside the first store-set simulation.
+        from repro.harness import experiments
+        step = experiments.PLAN_STEPS["e8"]
+        monkeypatch.setitem(experiments.PLAN_STEPS, "e8",
+                            functools.partial(step, sizes=(1, 16)))
+        cache_dir = tmp_path / "c"
+        assert cli_main(["e8", "--jobs", "1", "--kernels", "queue",
+                         "--cache-dir", str(cache_dir)]) == 2
+        captured = capsys.readouterr()
+        assert "storeset_ssit_size" in captured.err
+        assert "regenerated" not in captured.out
+        assert not list(cache_dir.glob("*/*.json"))
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # `cli cache stats | head`: the reader leaves early; no traceback.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in sys.path if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "cache", "stats",
+             "--cache-dir", str(tmp_path / "c")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipe" not in err

@@ -251,3 +251,27 @@ class TestSharding:
         for shard in ((3, 3), (-1, 3), (0, 0)):
             with pytest.raises(ConfigError):
                 ResultCache(str(tmp_path / "cache"), shard=shard)
+
+
+class TestScanRacesClear:
+    def test_shard_removed_between_listings(self, tmp_path, monkeypatch):
+        """A concurrent ``clear()`` may remove a shard directory after the
+        root was listed: ``entries()``/``stats()`` skip it instead of
+        raising ``FileNotFoundError``."""
+        import shutil
+        from repro.harness import cache as cache_mod
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = key_for("vanishing")
+        cache.store(key, synthetic_record(key))
+        shard_dir = os.path.join(cache.root, key[:2])
+        real_listdir = os.listdir
+
+        def listdir_racing_clear(path):
+            if path == shard_dir and os.path.isdir(shard_dir):
+                shutil.rmtree(shard_dir)        # clear() wins the race
+            return real_listdir(path)
+        monkeypatch.setattr(cache_mod.os, "listdir", listdir_racing_clear)
+        assert cache.entries() == []
+        cache.store(key, synthetic_record(key))
+        stats = cache.stats()
+        assert stats["entries"] == 0 and stats["stale_or_corrupt"] == 0
