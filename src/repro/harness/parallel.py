@@ -528,13 +528,11 @@ class ParallelRunner:
         pending: List[int] = []
         foreign: List[int] = []
         for index in first.values():
-            record = (self.cache.load(keys[index])
-                      if self.cache is not None else None)
-            if record is not None:
+            hit = self._lookup(keys[index], fill)
+            if hit is not None:
                 cached.append(index)
                 if not fill:
-                    results[index] = result_from_record(
-                        record, from_cache=True)
+                    results[index] = hit
             elif not fill or self.cache.owns_key(keys[index]):
                 pending.append(index)
             else:
@@ -610,6 +608,16 @@ class ParallelRunner:
              for i in range(len(cells))])
         self.last_journal = journal
         return journal
+
+    def _lookup(self, key: str, fill: bool):
+        """A cached cell: its decoded :class:`CellResult`, or its raw
+        record when filling (a fill never decodes), or None on a miss
+        (hook point: the sweep server's runner answers from its
+        server-lifetime result memo first)."""
+        record = self.cache.load(key) if self.cache is not None else None
+        if record is None or fill:
+            return record
+        return result_from_record(record, from_cache=True)
 
     def _admit(self, key: Optional[str], record: dict) -> None:
         """Write one fresh record back to the cache (hook point: the

@@ -44,24 +44,33 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigError
 from ..stats.report import Table
+from ..workloads.common import KernelInstance
 from ..workloads.registry import KERNELS
 from .cache import ResultCache, cache_key
 from .experiments import EXPERIMENTS, evaluate
-from .parallel import (_ELIDE_KEYS, _PLANSTORE_KEYS, _WORK_KEYS,
-                       ParallelRunner, merge_session_metrics,
-                       write_session_shard)
+from .parallel import (_ELIDE_KEYS, _PLANSTORE_KEYS, _WORK_KEYS, CellResult,
+                       DigestMemo, ParallelRunner, merge_session_metrics,
+                       result_from_record, write_session_shard)
 from .pool import PoolExhaustedError, WorkerPool, run_cell_chunk
 from .runner import POINT_ORDER, STANDARD_POINTS
 from .sweep import SweepCell, SweepPlan
 
 #: Largest accepted request body (a plan is a few KB of JSON).
 MAX_BODY_BYTES = 1 << 20
+
+#: Decoded results a server keeps in memory (~3 KB each, so ~3 MiB).
+RESULT_MEMO_CELLS = 1024
+
+#: Least seconds between two session-shard writes while plans finish;
+#: drain and ``/metrics`` write a pending update at once.
+SESSION_WRITE_INTERVAL = 1.0
 
 #: Rough cell counts per kernel for experiment-mode quota charging (the
 #: exact grid is only knowable after expansion; estimates only gate
@@ -148,13 +157,17 @@ class PlanJob:
     Cell states move ``pending -> queued -> running -> done`` (or
     ``cached`` straight away, or ``failed``).  Mutated from both the
     plan-evaluation thread and the event loop, hence the lock.
+
+    A finished plan is kept for the server's life, so :meth:`finish`
+    and :meth:`fail` freeze it: the status payload is serialized once
+    and the request, per-cell dicts and metrics dict are dropped.
     """
 
     def __init__(self, plan_id: str, tenant: str, request: dict,
                  estimate: int):
         self.id = plan_id
         self.tenant = tenant
-        self.request = request
+        self.request: Optional[dict] = request
         self.estimate = estimate
         self.state = "queued"        # queued|running|done|failed
         self.error: Optional[str] = None
@@ -167,6 +180,8 @@ class PlanJob:
         #: Plan index -> the later indices that share its cache key.
         self._duplicates: Dict[int, List[int]] = {}
         self._lock = threading.Lock()
+        #: ``(status JSON, cell states JSON)`` once the plan has ended.
+        self._frozen: Optional[Tuple[str, str]] = None
 
     def set_cells(self, labels: Sequence[str], pending: Sequence[int],
                   sources: Sequence[int]) -> None:
@@ -203,16 +218,29 @@ class PlanJob:
         with self._lock:
             return [dict(cell) for cell in self._cells]
 
-    def finish(self, table: str) -> None:
-        self.table = table
+    def finish(self, table: str, tables: Dict[str, str]) -> None:
+        """Mark the plan done.  ``tables`` maps digest -> table text and
+        is shared by the server's plans, so replays of one request hold
+        one copy of their table."""
         self.table_digest = hashlib.sha256(table.encode()).hexdigest()
+        self.table = tables.setdefault(self.table_digest, table)
         self.state = "done"
         self.finished = time.time()
+        self._freeze()
 
     def fail(self, error: str) -> None:
         self.error = error
         self.state = "failed"
         self.finished = time.time()
+        self._freeze()
+
+    def _freeze(self) -> None:
+        status = json.dumps(self.status(), sort_keys=True)
+        cells = json.dumps(self.cells(), sort_keys=True)
+        with self._lock:
+            self._frozen = (status, cells)
+            self._cells, self._duplicates = [], {}
+        self.request = self.metrics = None
 
     def status(self) -> dict:
         end = self.finished if self.finished is not None else time.time()
@@ -227,6 +255,23 @@ class PlanJob:
             "metrics": self.metrics,
         }
 
+    def status_json(self) -> str:
+        """The ``GET /plans`` entry: :meth:`status` as sorted-key JSON."""
+        if self._frozen is not None:
+            return self._frozen[0]
+        return json.dumps(self.status(), sort_keys=True)
+
+    def detail_json(self) -> str:
+        """The ``GET /plans/<id>`` body: the status plus ``cell_states``
+        (sorted first among the status keys, so it is spliced in front
+        of the status object's own keys)."""
+        if self._frozen is not None:
+            status, cells = self._frozen
+        else:
+            status = json.dumps(self.status(), sort_keys=True)
+            cells = json.dumps(self.cells(), sort_keys=True)
+        return '{"cell_states": ' + cells + ", " + status[1:]
+
 
 @dataclass
 class _CellTask:
@@ -240,14 +285,83 @@ class _CellTask:
     future: asyncio.Future = field(default=None)  # set by the scheduler
 
 
+class ProgramMemo:
+    """Registry kernels built and identity-hashed once per server.
+
+    Keyed by ``(kernel, fast)`` at the spec's own scale, so it holds at
+    most two programs per registered kernel.  Safe across plan threads:
+    a program is built and hashed under the lock, so two concurrent
+    plans naming it build it once.  Plans share these instances, so
+    nothing may mutate them (the pool is sent copies, see
+    :meth:`ParallelRunner._chunk`).
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._built: Dict[Tuple[str, bool], KernelInstance] = {}
+        self._digests: DigestMemo = {}
+
+    def kernel(self, name: str, fast: bool) -> KernelInstance:
+        with self._lock:
+            instance = self._built.get((name, fast))
+            if instance is None:
+                spec = KERNELS[name]
+                instance = (spec.build_test() if fast
+                            else spec.build_default())
+                self._digests[id(instance)] = (instance,
+                                               instance.identity_digest())
+                self._built[(name, fast)] = instance
+        return instance
+
+    def digests(self) -> DigestMemo:
+        """A fresh :func:`~repro.harness.parallel.instance_digests` memo
+        holding every program built so far, for one plan to extend."""
+        with self._lock:
+            return dict(self._digests)
+
+
+class ResultMemo:
+    """Decoded results kept for the server's life, least recently used
+    first out: cache key -> :class:`CellResult`, filled by validated
+    cache loads and by the engine's completions.
+
+    Records are immutable (a key names one program on one machine), so
+    a held result stays right even after ``cache clear``.  The results
+    are shared by every plan served from them and must not be mutated.
+    """
+
+    def __init__(self, capacity: int = RESULT_MEMO_CELLS):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._results: "OrderedDict[str, CellResult]" = OrderedDict()
+
+    def get(self, key: str) -> Optional[CellResult]:
+        with self._lock:
+            result = self._results.get(key)
+            if result is not None:
+                self._results.move_to_end(key)
+            return result
+
+    def put(self, key: str, result: CellResult) -> None:
+        with self._lock:
+            self._results[key] = result
+            self._results.move_to_end(key)
+            while len(self._results) > self.capacity:
+                self._results.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+
 class _EngineRunner(ParallelRunner):
     """A runner whose execution stage routes through the server engine.
 
     ``run_plan`` keeps its normal shape — probe the cache, execute the
-    remainder, admit, account — but the remainder is handed to the
-    server's dedup/batch scheduler instead of a private pool, so cells
-    from concurrent plans share in-flight executions and chunks.  Runs
-    on a plan-evaluation thread; the engine runs on the event loop.
+    remainder, admit, account — but the probe answers from the server's
+    result memo first, and the remainder is handed to the server's
+    dedup/batch scheduler instead of a private pool, so cells from
+    concurrent plans share in-flight executions and chunks.  Runs on a
+    plan-evaluation thread; the engine runs on the event loop.
     """
 
     def __init__(self, server: "SweepServer", job: PlanJob):
@@ -256,15 +370,27 @@ class _EngineRunner(ParallelRunner):
         self._server = server
         self._job = job
 
+    def _lookup(self, key, fill):
+        result = self._server.results.get(key)
+        if result is not None:
+            return result
+        # Always decoded: the memo holds results (a fill only tests for
+        # a hit).
+        result = super()._lookup(key, fill=False)
+        if result is not None:
+            self._server.results.put(key, result)
+        return result
+
     def _admit(self, key, record):
         # The engine already stored the record (exactly once per
-        # executed cell, even when several plans share it).
-        pass
+        # executed cell, even when several plans share it); keep it
+        # decoded for the next plan that asks.
+        self._server.results.put(key, result_from_record(
+            record, from_cache=True))
 
     def _execute(self, cells, digests, pending):
         self._plan_golden_fresh = 0
         self._plan_golden_hits = 0
-        self._plan_dedup_hits = 0
         # Per-plan elision view: "elided" counts this plan's forwarded
         # records so run_plan's executed/from_cache split stays exact.
         # Representatives/fallbacks (and plan-store traffic) are chunk
@@ -274,43 +400,54 @@ class _EngineRunner(ParallelRunner):
         self._plan_planstore = dict.fromkeys(_PLANSTORE_KEYS, 0)
         self._plan_kernels = len({digests[i] for i in pending})
         self._plan_pooled = bool(pending)
+        sources = self._plan_sources
         self._job.set_cells([cell.label for cell in cells], pending,
-                            self._plan_sources)
+                            sources)
+        # A later cell sharing a pending cell's key shares its execution
+        # and counts as an in-flight dedup hit, like a concurrent plan's.
+        pending_set = set(pending)
+        self._plan_dedup_hits = sum(
+            1 for index, source in enumerate(sources)
+            if source != index and source in pending_set)
+        self._server.loop.call_soon_threadsafe(
+            self._server._count_plan, len(cells),
+            len(cells) - len(pending) - self._plan_dedup_hits,
+            self._plan_dedup_hits)
         if not pending:
             return []
         future = asyncio.run_coroutine_threadsafe(
-            self._server._schedule(self._job, cells, digests, pending,
-                                   self._plan_sources),
+            self._server._schedule(self._job, cells, digests, pending),
             self._server.loop)
-        records, dedup_hits = future.result()
-        self._plan_dedup_hits = dedup_hits
+        records, joined = future.result()
+        self._plan_dedup_hits += joined
         self._plan_elide["elided"] = sum(
             1 for _, record in records if record.get("forwarded_from"))
         return records
 
 
-def expand_grid(request: dict) -> SweepPlan:
+def expand_grid(request: dict,
+                programs: Optional[ProgramMemo] = None) -> SweepPlan:
     """Build the SweepPlan a grid-mode request describes.
 
     ``cells`` (a list of ``{"kernel", "point", "scale", "overrides"}``)
     wins over the ``kernels`` x ``points`` cross product; ``overrides``
     at the top level apply to every cross-product cell.  ``fast``
     selects test scales (the default) vs evaluation scales; an explicit
-    per-cell ``scale`` overrides both.
+    per-cell ``scale`` overrides both.  Programs at the spec's own scale
+    come from ``programs`` (a fresh memo when not given); explicit
+    scales are built per call.
     """
     fast = bool(request.get("fast", True))
-    built: Dict[Tuple[str, int], object] = {}
+    if programs is None:
+        programs = ProgramMemo()
+    built: Dict[Tuple[str, int], KernelInstance] = {}
 
     def instance(name: str, scale: int):
-        cache_key_ = (name, scale)
-        if cache_key_ not in built:
-            spec = KERNELS[name]
-            if scale:
-                built[cache_key_] = spec.build(scale)
-            else:
-                built[cache_key_] = (spec.build_test() if fast
-                                     else spec.build_default())
-        return built[cache_key_]
+        if not scale:
+            return programs.kernel(name, fast)
+        if (name, scale) not in built:
+            built[(name, scale)] = KERNELS[name].build(scale)
+        return built[(name, scale)]
 
     specs = request.get("cells")
     if specs is None:
@@ -382,6 +519,16 @@ class SweepServer:
             "squashed_executions", "wave_operand_sends",
             "epoch_rollbacks", "epoch_rollback_depth")}
         self._last_plan_metrics: Optional[dict] = None
+        #: The replay path's memos (see docs/SERVER.md, "Replay path"):
+        #: grid programs built and hashed once, decoded results, and one
+        #: copy of each distinct finished table (digest -> text).
+        self.programs = ProgramMemo()
+        self.results = ResultMemo()
+        self._tables: Dict[str, str] = {}
+        #: The pending coalesced session-shard write, and when the last
+        #: write happened (loop time).
+        self._session_write: Optional[asyncio.TimerHandle] = None
+        self._session_written = float("-inf")
         self._plan_counter = itertools.count(1)
         self._serving = threading.Event()
         self._plan_executor = ThreadPoolExecutor(
@@ -468,9 +615,22 @@ class SweepServer:
             task.cancel()
         self._stopped.set()
 
+    def _session_changed(self) -> None:
+        """Schedule a session-shard write, at most one per
+        :data:`SESSION_WRITE_INTERVAL` (loop thread)."""
+        if self._session_write is None:
+            delay = max(0.0, self._session_written
+                        + SESSION_WRITE_INTERVAL - self.loop.time())
+            self._session_write = self.loop.call_later(
+                delay, self._persist_session)
+
     def _persist_session(self) -> None:
         """Write this server process's session shard (merged back by
         ``cli cache stats`` and ``/metrics``, alongside CLI runners)."""
+        if self._session_write is not None:
+            self._session_write.cancel()
+            self._session_write = None
+        self._session_written = self.loop.time()
         totals = self._session_totals
         counters = self.counters
         kernels = counters["kernels_executed"]
@@ -619,8 +779,8 @@ class SweepServer:
             job.fail(f"{type(exc).__name__}: {exc}")
         else:
             self.counters["plans_completed"] += 1
-            job.finish(table)
-        self._persist_session()
+            job.finish(table, self._tables)
+        self._session_changed()
 
     def _run_plan_sync(self, job: PlanJob) -> str:
         """Evaluate one plan on a worker thread; returns table text."""
@@ -630,7 +790,9 @@ class SweepServer:
             if "experiment" in request:
                 text = self._run_experiment(runner, request)
             else:
-                results = runner.run_plan(expand_grid(request))
+                results = runner.run_plan(
+                    expand_grid(request, self.programs),
+                    self.programs.digests())
                 text = render_grid_table(results)
         finally:
             if runner.last_metrics is not None:
@@ -665,21 +827,22 @@ class SweepServer:
 
     # -- the dedup/batch engine (event loop) ----------------------------
 
-    async def _schedule(self, job: PlanJob, cells, digests, pending,
-                        sources) -> Tuple[List[Tuple[int, dict]], int]:
-        """Schedule a plan's un-cached cells; returns
-        ``([(plan_index, record), ...], inflight_dedup_hits)``.
+    def _count_plan(self, requested: int, from_cache: int,
+                    duplicates: int) -> None:
+        """Count one plan's cells, cached or not: the one place the
+        plan-level cell counters of ``/metrics`` grow.  ``duplicates``
+        repeat a pending cell of the same plan and share its execution."""
+        self.counters["cells_requested"] += requested
+        self.counters["cells_from_cache"] += from_cache
+        self.counters["dedup_inflight_hits"] += duplicates
 
-        ``pending`` holds one index per distinct cache key; a later cell
-        with the same key (``sources``) shares that execution and counts
-        as an in-flight dedup hit, like a concurrent plan's cell."""
-        pending_set = set(pending)
-        dedup_hits = sum(1 for index, source in enumerate(sources)
-                         if source != index and source in pending_set)
-        self.counters["cells_requested"] += len(cells)
-        self.counters["cells_from_cache"] += \
-            len(cells) - len(pending) - dedup_hits
-        self.counters["dedup_inflight_hits"] += dedup_hits
+    async def _schedule(self, job: PlanJob, cells, digests,
+                        pending) -> Tuple[List[Tuple[int, dict]], int]:
+        """Schedule a plan's un-cached cells, one per distinct cache
+        key; returns ``([(plan_index, record), ...], joined)``, where
+        ``joined`` counts the cells that joined another plan's execution
+        already in flight."""
+        dedup_hits = 0
         waiters = []
         for index in pending:
             cell = cells[index]
@@ -814,6 +977,11 @@ class SweepServer:
     # -- metrics --------------------------------------------------------
 
     def metrics_payload(self) -> dict:
+        """The ``/metrics`` body (loop thread: a pending session-shard
+        write lands first, so ``sessions`` holds this server's latest
+        totals)."""
+        if self._session_write is not None:
+            self._persist_session()
         pool = self.pool
         return {
             "server": {
@@ -965,9 +1133,9 @@ class SweepServer:
                 status, payload = self._submit_plan(request, headers)
                 return status, payload, json_type
             if method == "GET":
-                return 200, {"plans": [job.status() for job
-                                       in self._jobs.values()]}, \
-                    json_type
+                return 200, ('{"plans": [' + ", ".join(
+                    job.status_json() for job in self._jobs.values())
+                    + "]}"), json_type
             return 405, {"error": f"{method} not allowed"}, json_type
         if path.startswith("/plans/") and method == "GET":
             rest = path[len("/plans/"):]
@@ -977,9 +1145,7 @@ class SweepServer:
                 return 404, {"error": f"unknown plan {plan_id!r}"}, \
                     json_type
             if tail == "":
-                status = job.status()
-                status["cell_states"] = job.cells()
-                return 200, status, json_type
+                return 200, job.detail_json(), json_type
             if tail == "table":
                 if job.state == "done":
                     return 200, job.table, "text/plain; charset=utf-8"

@@ -7,6 +7,7 @@ spawns a real ``cli serve`` process and kills it the way an operator
 would.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -19,9 +20,12 @@ import pytest
 
 from repro.harness import (ParallelRunner, ServerConfig, ServerError,
                            SweepClient, SweepServer)
+from repro.harness.cache import ResultCache
 from repro.harness.experiments import e1_main, e9_corpus_ordering
 from repro.harness.parallel import session_shard_files
-from repro.harness.server import expand_grid, render_grid_table
+from repro.harness.server import (ProgramMemo, ResultMemo, expand_grid,
+                                  render_grid_table)
+from repro.workloads.common import KernelInstance, KernelSpec
 
 GRID = {"kernels": ["queue"], "points": ["dsre", "aggressive"],
         "fast": True}
@@ -175,6 +179,254 @@ class TestPlanExecution:
         assert table.count("queue @ dsre") == 2
 
 
+class TestReplayCounting:
+    def test_replays_count_cached_cells(self, harness):
+        # A fully cached plan never reaches the engine's scheduler; its
+        # cells still count as requested and served from the cache.
+        harness.client.run(GRID, timeout=120)
+        before = harness.client.metrics()["server"]["cells"]
+        replays = 4
+        for _ in range(replays):
+            harness.client.run(GRID, timeout=120)
+        after = harness.client.metrics()["server"]["cells"]
+        assert after["requested"] - before["requested"] == 2 * replays
+        assert after["from_cache"] - before["from_cache"] == 2 * replays
+        assert after["executed"] == before["executed"]
+        assert after["dedup_inflight_hits"] == before["dedup_inflight_hits"]
+
+
+class TestFinishedPlans:
+    def test_finished_plan_bytes_are_pinned(self, harness):
+        first = harness.client.submit(GRID)
+        harness.client.wait(first, timeout=120)
+        second = harness.client.submit(GRID)
+        harness.client.wait(second, timeout=120)
+
+        def raw(path):
+            status, ctype, data = harness.client._request("GET", path)
+            assert status == 200
+            return ctype, data
+
+        ctype, detail = raw(f"/plans/{second}")
+        assert ctype == "application/json"
+        payload = json.loads(detail)
+        # The body is the sorted-key JSON of the status fields plus the
+        # per-cell states, byte for byte.
+        assert detail == json.dumps(payload, sort_keys=True).encode()
+        assert sorted(payload) == [
+            "cell_states", "cells", "elapsed_seconds", "error", "id",
+            "metrics", "state", "table_digest", "tenant"]
+        assert payload["cell_states"] == [
+            {"label": "queue @ dsre", "state": "cached"},
+            {"label": "queue @ aggressive", "state": "cached"}]
+        assert payload["cells"] == {"total": 2, "cached": 2}
+        assert (payload["id"], payload["state"], payload["error"],
+                payload["tenant"]) == (second, "done", None, "default")
+        assert payload["metrics"]["from_cache"] == 2
+        assert raw(f"/plans/{second}")[1] == detail
+
+        ctype, table = raw(f"/plans/{second}/table")
+        assert ctype == "text/plain; charset=utf-8"
+        expected = render_grid_table(
+            ParallelRunner(jobs=1).run_plan(expand_grid(GRID)))
+        assert table == expected.encode()
+        assert payload["table_digest"] == \
+            hashlib.sha256(table).hexdigest()
+
+        ctype, listing = raw("/plans")
+        assert ctype == "application/json"
+        plans = json.loads(listing)["plans"]
+        assert listing == json.dumps({"plans": plans},
+                                     sort_keys=True).encode()
+        status = dict(payload)
+        del status["cell_states"]
+        assert plans[1] == status
+        assert [plan["id"] for plan in plans] == [first, second]
+
+    def test_finished_plans_shrink(self, harness):
+        first = harness.client.submit(GRID)
+        harness.client.wait(first, timeout=120)
+        second = harness.client.submit(GRID)
+        harness.client.wait(second, timeout=120)
+        jobs = [harness.server._jobs[first], harness.server._jobs[second]]
+        for job in jobs:
+            assert job.request is None and job.metrics is None
+            assert job.cells() == []
+        # Identical tables are held once.
+        assert jobs[0].table is jobs[1].table
+
+
+class TestSessionWrites:
+    def test_shard_writes_are_coalesced(self, harness, monkeypatch):
+        from repro.harness import server as server_module
+        writes = []
+        original = server_module.write_session_shard
+        monkeypatch.setattr(
+            server_module, "write_session_shard",
+            lambda root, payload: (writes.append(payload["plans_run"]),
+                                   original(root, payload)))
+        harness.client.run(GRID, timeout=120)
+        started = time.monotonic()
+        for _ in range(8):
+            harness.client.run(GRID, timeout=120)
+        elapsed = time.monotonic() - started
+        interval = server_module.SESSION_WRITE_INTERVAL
+        assert len(writes) <= 2 + elapsed / interval
+        # /metrics writes the pending update first.
+        sessions = harness.client.metrics()["sessions"]
+        assert writes[-1] == sessions["plans_run"] == 9
+
+
+class TestReplayMemos:
+    @staticmethod
+    def count_calls(monkeypatch, owner, name, calls, delay=0.0):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if delay:
+                time.sleep(delay)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def counted(self, monkeypatch, delay=0.0):
+        calls = {}
+        for name in ("build_test", "build_default"):
+            self.count_calls(monkeypatch, KernelSpec, name, calls, delay)
+        self.count_calls(monkeypatch, KernelInstance, "identity_digest",
+                         calls)
+        self.count_calls(monkeypatch, ResultCache, "load", calls)
+        return calls
+
+    def test_replay_builds_hashes_and_reads_nothing(self, tmp_path,
+                                                    monkeypatch):
+        # A cache filled by another process: the first serve reads it
+        # from disk, the replay only from memory.
+        with ParallelRunner(jobs=1, cache=ResultCache(
+                str(tmp_path / "cache"))) as runner:
+            runner.run_plan(expand_grid(GRID))
+        h = ServerHarness(tmp_path)
+        try:
+            first = h.client.run(GRID, timeout=120)
+            calls = self.counted(monkeypatch)
+            replay = h.client.run(GRID, timeout=120)
+            assert calls == {}
+            assert replay == first
+            assert len(h.server.results) == 2
+        finally:
+            h.stop()
+
+    def test_fresh_results_reach_the_next_replay(self, harness,
+                                                 monkeypatch):
+        first = harness.client.run(GRID, timeout=120)
+        calls = self.counted(monkeypatch)
+        plan_id = harness.client.submit(GRID)
+        status = harness.client.wait(plan_id, timeout=120)
+        assert calls.get("load", 0) == 0
+        assert harness.client.table(plan_id) == first
+        # A memo hit is a cache hit in the plan's SweepMetrics, its cell
+        # states, and the server's counters.
+        assert status["metrics"]["from_cache"] == 2
+        assert status["metrics"]["executed"] == 0
+        assert status["cells"] == {"total": 2, "cached": 2}
+        cells = harness.client.metrics()["server"]["cells"]
+        assert (cells["executed"], cells["from_cache"]) == (2, 2)
+
+    def test_concurrent_plans_build_each_program_once(self, tmp_path,
+                                                      monkeypatch):
+        h = ServerHarness(tmp_path, batch_window=0.1)
+        try:
+            # Slow builds, so both plan threads ask while one builds.
+            calls = self.counted(monkeypatch, delay=0.2)
+            grid = dict(GRID, kernels=["queue", "vecsum"])
+            plans = [h.client.submit(grid) for _ in range(2)]
+            tables = [h.client.run(grid, timeout=120)]
+            for plan_id in plans:
+                assert h.client.wait(plan_id, timeout=120)["state"] == \
+                    "done"
+                tables.append(h.client.table(plan_id))
+            assert calls["build_test"] == 2
+            assert calls["identity_digest"] == 2
+            assert tables[0] == tables[1] == tables[2]
+        finally:
+            h.stop()
+
+    def test_memo_drops_the_least_recently_used(self):
+        memo = ResultMemo(capacity=2)
+        memo.put("a", "a")
+        memo.put("b", "b")
+        assert memo.get("a") == "a"
+        memo.put("c", "c")
+        assert len(memo) == 2
+        assert memo.get("b") is None
+        assert (memo.get("a"), memo.get("c")) == ("a", "c")
+
+
+class TestMemoThreads:
+    """The server's memos under plan-thread contention: more threads
+    than cores and a short switch interval, so a lost update shows."""
+
+    THREADS = 8
+
+    def hammer(self, work):
+        barrier = threading.Barrier(self.THREADS)
+
+        def run(slot):
+            barrier.wait(timeout=30)
+            work(slot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_program_memo_builds_each_program_once(self, monkeypatch):
+        names = ["queue", "vecsum", "histogram"]
+        builds = []
+        original = KernelSpec.build_test
+        monkeypatch.setattr(
+            KernelSpec, "build_test",
+            lambda spec: (builds.append(spec.name), original(spec))[1])
+        memo = ProgramMemo()
+        seen = {name: set() for name in names}
+
+        def work(slot):
+            for _ in range(20):
+                for name in names:
+                    seen[name].add(id(memo.kernel(name, True)))
+
+        self.hammer(work)
+        assert sorted(builds) == sorted(names)
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert len(memo.digests()) == len(names)
+
+    def test_result_memo_keeps_its_bound_and_values(self):
+        memo = ResultMemo(capacity=64)
+        wrong = []
+
+        def work(slot):
+            for i in range(200):
+                key = f"{slot}:{i}"
+                memo.put(key, key)
+                for probe in (key, f"{(slot + 1) % self.THREADS}:{i}"):
+                    value = memo.get(probe)
+                    if value not in (None, probe):
+                        wrong.append((probe, value))
+
+        self.hammer(work)
+        assert wrong == []
+        assert len(memo) == 64
+
+
 class TestDedupAndQuota:
     def test_identical_plans_share_execution(self, tmp_path):
         # A wider batch window so both submissions land in one batch.
@@ -298,18 +550,31 @@ class TestSigtermDrain:
             expected = render_grid_table(
                 ParallelRunner(jobs=1).run_plan(expand_grid(GRID)))
             assert table == expected
+            # A burst of replays, faster than the coalesced shard
+            # writes: /metrics still reports this server's latest
+            # totals (it is the only session under this cache root).
+            replays = 5
+            for _ in range(replays):
+                assert client.run(GRID, timeout=120) == expected
+            sessions = client.metrics()["sessions"]
+            assert sessions["shards"] == 1
+            assert sessions["plans_run"] == 1 + replays
+            assert sessions["cells_from_cache"] == 2 * replays
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
-        # The drain persisted the server's session shard.
+            proc.stdout.close()
+        # The drain persisted the server's session shard, with the
+        # totals /metrics last reported.
         shards = session_shard_files(cache_dir)
         assert any(str(proc.pid) in os.path.basename(p) for p in shards)
         with open(session_shard_path_for(shards, proc.pid)) as fh:
             payload = json.load(fh)
-        assert payload["plans_run"] == 1
+        assert payload["plans_run"] == sessions["plans_run"]
+        assert payload["cells_from_cache"] == sessions["cells_from_cache"]
         assert payload["cells_executed"] == 2
 
 
